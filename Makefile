@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-tuner bench-plan bench-plan-check bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-speculate golden-check-full clean
+.PHONY: all ci build vet fmt-check test race perfbench-test soak soak-disk bench bench-smoke bench-tuner bench-plan bench-plan-check bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-speculate golden-check-full clean
 
 all: build vet test
 
@@ -39,6 +39,11 @@ test:
 # cheap enough that whole-module coverage costs little extra.
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a nested module (perfbench/go.mod), so the
+# root ./... patterns above never reach it: vet and test it on its own.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Deterministic chaos soak: concurrent clients through a fault-injecting
 # network while processors fail and recover, race detector on. The fault

@@ -17,10 +17,13 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dynp/internal/job"
 	"dynp/internal/rng"
+	"dynp/internal/shard"
 	"dynp/internal/stats"
 )
 
@@ -122,8 +125,24 @@ func ByName(name string) (Model, error) {
 	return Model{}, fmt.Errorf("workload: unknown trace %q", name)
 }
 
-// Validate checks the model parameters for internal consistency.
+// Validate checks the model parameters for internal consistency. Every
+// float parameter must be finite and inside the domain the fit accepts;
+// the error names the offending field.
 func (m Model) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"WidthAvg", m.WidthAvg}, {"WidthSigma", m.WidthSigma}, {"WidthPow2Frac", m.WidthPow2Frac},
+		{"ActAvg", m.ActAvg}, {"ActSigma", m.ActSigma},
+		{"EstAvg", m.EstAvg}, {"Overest", m.Overest},
+		{"IATAvg", m.IATAvg}, {"IATBurst", m.IATBurst},
+		{"LoadTarget", m.LoadTarget},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s: %s %v is not finite", m.Name, f.name, f.v)
+		}
+	}
 	switch {
 	case m.Machine < 1:
 		return fmt.Errorf("workload: %s: machine %d < 1", m.Name, m.Machine)
@@ -133,12 +152,23 @@ func (m Model) Validate() error {
 	case m.WidthAvg <= float64(m.WidthMin) || m.WidthAvg >= float64(m.WidthMax):
 		return fmt.Errorf("workload: %s: width avg %v outside (%d,%d)",
 			m.Name, m.WidthAvg, m.WidthMin, m.WidthMax)
+	case m.WidthSigma <= 0:
+		return fmt.Errorf("workload: %s: WidthSigma %v <= 0", m.Name, m.WidthSigma)
+	case m.WidthPow2Frac < 0 || m.WidthPow2Frac > 1:
+		return fmt.Errorf("workload: %s: WidthPow2Frac %v outside [0,1]", m.Name, m.WidthPow2Frac)
 	case m.ActAvg <= 1 || m.ActAvg >= float64(m.ActMax):
 		return fmt.Errorf("workload: %s: actual runtime avg %v invalid", m.Name, m.ActAvg)
+	case m.ActSigma <= 0:
+		return fmt.Errorf("workload: %s: ActSigma %v <= 0", m.Name, m.ActSigma)
 	case m.Overest < 1:
 		return fmt.Errorf("workload: %s: overestimation factor %v < 1", m.Name, m.Overest)
 	case m.IATAvg <= 0 || m.IATMax < 1:
 		return fmt.Errorf("workload: %s: interarrival parameters invalid", m.Name)
+	case m.IATBurst <= 0 || m.IATBurst >= 1:
+		// The open interval stats.NewBurstyIAT accepts.
+		return fmt.Errorf("workload: %s: IATBurst %v outside (0,1)", m.Name, m.IATBurst)
+	case m.LoadTarget < 0:
+		return fmt.Errorf("workload: %s: LoadTarget %v < 0", m.Name, m.LoadTarget)
 	}
 	return nil
 }
@@ -172,17 +202,25 @@ type widthSampler interface {
 
 // sampleAct maps a latent normal deviate to an actual run time.
 func (g *generator) sampleAct(z float64) float64 {
-	return math.Min(g.actHi, math.Max(g.actLo, g.actLN.FromNormal(z)))
+	return min(g.actHi, max(g.actLo, g.actLN.FromNormal(z)))
+}
+
+// actAt maps the width's latent normal zw and an independent normal z2 to
+// an actual run time whose latent normal has correlation rho with zw.
+func (g *generator) actAt(rho, zw, z2 float64) float64 {
+	return g.sampleAct(rho*zw + math.Sqrt(1-rho*rho)*z2)
 }
 
 // sampleJob draws (width, actual run time) with the calibrated
 // correlation from three independent primitives: the width's latent
 // normal zw, the snapping uniform usnap, and an independent normal z2.
 func (g *generator) sampleJob(zw, usnap, z2 float64) (width int, act float64) {
-	width = g.width.fromLatent(zw, usnap)
-	zr := g.corr*zw + math.Sqrt(1-g.corr*g.corr)*z2
-	return width, g.sampleAct(zr)
+	return g.width.fromLatent(zw, usnap), g.actAt(g.corr, zw, z2)
 }
+
+// fits counts newGenerator runs that got past validation, so tests can
+// prove the generator cache fits each model once.
+var fits atomic.Int64
 
 // newGenerator fits all distributions; it fails when a published mean is
 // unattainable within its published bounds.
@@ -190,6 +228,7 @@ func (m Model) newGenerator() (*generator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	fits.Add(1)
 	g := &generator{m: m}
 
 	var err error
@@ -235,6 +274,12 @@ func (m Model) newGenerator() (*generator, error) {
 // mean interarrival time — the offered load the paper's utilization at
 // shrinking factor 1.0 implies. The mean area is monotone increasing in
 // the correlation, so bisection over a fixed Monte Carlo sample converges.
+//
+// The widths do not depend on the correlation, so they are mapped once.
+// Each evaluation maps the sample to its areas over the shard pool and
+// then sums them sequentially in index order: the same float operations
+// in the same order at any worker count, so the fitted correlation is
+// bit-identical whatever GOMAXPROCS is.
 func (g *generator) calibrateCorrelation() error {
 	m := g.m
 	if m.LoadTarget == 0 {
@@ -248,19 +293,26 @@ func (g *generator) calibrateCorrelation() error {
 	const n = 200000
 	r := rng.New(0xc0a11a7e).Derive(hashName(m.Name))
 	zw := make([]float64, n)
-	us := make([]float64, n)
+	widths := make([]float64, n)
 	z2 := make([]float64, n)
 	for i := 0; i < n; i++ {
 		zw[i] = r.NormFloat64()
-		us[i] = r.Float64()
+		widths[i] = float64(g.width.fromLatent(zw[i], r.Float64()))
 		z2[i] = r.NormFloat64()
 	}
+	const chunk = 1 << 13
+	workers := runtime.GOMAXPROCS(0)
+	areas := make([]float64, n)
 	meanArea := func(rho float64) float64 {
-		g.corr = rho
+		shard.Run(workers, (n+chunk-1)/chunk, func(c int) error {
+			for i := c * chunk; i < min((c+1)*chunk, n); i++ {
+				areas[i] = widths[i] * g.actAt(rho, zw[i], z2[i])
+			}
+			return nil
+		})
 		var sum float64
-		for i := 0; i < n; i++ {
-			w, act := g.sampleJob(zw[i], us[i], z2[i])
-			sum += float64(w) * act
+		for _, a := range areas {
+			sum += a
 		}
 		return sum / n
 	}
@@ -347,19 +399,30 @@ func (g *generator) calibrateOverestimation() error {
 // genCache memoises fitted generators per model value: the distribution
 // fits and the two Monte Carlo calibrations are deterministic functions of
 // the model, and generators are immutable after construction, so sharing
-// them (also across goroutines) is safe.
-var genCache sync.Map // Model -> *generator
+// them (also across goroutines) is safe. Each entry fits once: callers
+// racing on the first use of a model wait for the one fit instead of
+// each running their own.
+var genCache sync.Map // Model -> *genEntry
+
+type genEntry struct {
+	once sync.Once
+	g    *generator
+	err  error
+}
 
 func (m Model) cachedGenerator() (*generator, error) {
-	if g, ok := genCache.Load(m); ok {
-		return g.(*generator), nil
-	}
-	g, err := m.newGenerator()
-	if err != nil {
+	// Invalid models never enter the cache; NaN fields would make every
+	// lookup miss.
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	actual, _ := genCache.LoadOrStore(m, g)
-	return actual.(*generator), nil
+	e, ok := genCache.Load(m)
+	if !ok {
+		e, _ = genCache.LoadOrStore(m, &genEntry{})
+	}
+	entry := e.(*genEntry)
+	entry.once.Do(func() { entry.g, entry.err = m.newGenerator() })
+	return entry.g, entry.err
 }
 
 // Generate synthesises a job set of n jobs from the model using the given
@@ -412,18 +475,22 @@ func (m Model) Generate(n int, r *rng.Stream) (*job.Set, error) {
 
 // GenerateSets synthesises the paper's per-trace input: `sets` independent
 // job sets of n jobs each. Set k is a pure function of (model name, seed,
-// k) and independent of the other sets.
+// k) and independent of the other sets, so the sets are generated in
+// parallel over the shard pool with output identical to a sequential loop.
 func (m Model) GenerateSets(sets, n int, seed uint64) ([]*job.Set, error) {
 	base := rng.New(seed)
 	out := make([]*job.Set, sets)
-	for k := range out {
-		r := base.Derive(hashName(m.Name), uint64(k))
-		s, err := m.Generate(n, r)
+	err := shard.Run(runtime.GOMAXPROCS(0), sets, func(k int) error {
+		s, err := m.Generate(n, base.Derive(hashName(m.Name), uint64(k)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Name = fmt.Sprintf("%s/set%02d", m.Name, k)
 		out[k] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"dynp/internal/rng"
@@ -36,12 +41,176 @@ func TestValidateRejectsBadModels(t *testing.T) {
 		func(m *Model) { m.ActAvg = 0 },
 		func(m *Model) { m.Overest = 0.5 },
 		func(m *Model) { m.IATAvg = 0 },
+		func(m *Model) { m.WidthSigma = 0 },
+		func(m *Model) { m.WidthPow2Frac = -0.1 },
+		func(m *Model) { m.WidthPow2Frac = 1.1 },
+		func(m *Model) { m.ActSigma = 0 },
+		func(m *Model) { m.IATBurst = 0 },
+		func(m *Model) { m.IATBurst = 1 },
+		func(m *Model) { m.LoadTarget = -0.1 },
 	}
 	for i, mutate := range mutations {
 		m := CTC
 		mutate(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteFloats sets every float field of a model in
+// turn to NaN and ±Inf: Validate must reject each with an error naming
+// the field, and Generate must fail with that error rather than panic or
+// return a set.
+func TestValidateRejectsNonFiniteFloats(t *testing.T) {
+	typ := reflect.TypeOf(Model{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			m := CTC
+			reflect.ValueOf(&m).Elem().Field(i).SetFloat(v)
+			err := m.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.Name) {
+				t.Errorf("%s = %v: Validate = %v, want an error naming the field", f.Name, v, err)
+				continue
+			}
+			if set, err := m.Generate(10, rng.New(1)); err == nil {
+				t.Errorf("%s = %v: Generate returned %d jobs and no error", f.Name, v, len(set.Jobs))
+			}
+		}
+	}
+}
+
+// TestValidateAcceptsDomainBoundaries: the closed ends of the float
+// domains are valid (a zero LoadTarget disables the load calibration).
+func TestValidateAcceptsDomainBoundaries(t *testing.T) {
+	for i, mutate := range []func(*Model){
+		func(m *Model) { m.WidthPow2Frac = 0 },
+		func(m *Model) { m.WidthPow2Frac = 1 },
+		func(m *Model) { m.IATBurst = 0.01 },
+		func(m *Model) { m.IATBurst = 0.99 },
+		func(m *Model) { m.LoadTarget = 0 },
+	} {
+		m := CTC
+		mutate(&m)
+		if err := m.Validate(); err != nil {
+			t.Errorf("mutation %d rejected: %v", i, err)
+		}
+	}
+}
+
+// TestInvalidModelsStayOutOfCache: a NaN model never equals itself as a
+// map key, so a cached fit of one could never be found again.
+func TestInvalidModelsStayOutOfCache(t *testing.T) {
+	entries := func() int {
+		n := 0
+		genCache.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	before := entries()
+	m := KTH
+	m.EstAvg = math.NaN()
+	for i := 0; i < 3; i++ {
+		if _, err := m.Generate(10, rng.New(1)); err == nil {
+			t.Fatal("NaN EstAvg accepted")
+		}
+	}
+	if after := entries(); after != before {
+		t.Fatalf("cache grew from %d to %d entries", before, after)
+	}
+}
+
+// TestFitBitsPinned pins the fitted correlation and overestimation shift
+// of every model bit for bit, at one worker and at several: the parallel
+// calibration must reproduce the sequential fit exactly.
+func TestFitBitsPinned(t *testing.T) {
+	want := map[string][2]uint64{
+		"CTC":  {0x3f46a8967ccfe59a, 0x40102f6489d32b78},
+		"KTH":  {0x3f42769958c70352, 0x3fe85f30e6b7d582},
+		"LANL": {0x3fda2621eca481b6, 0x3ffb913c7200fdbe},
+		"SDSC": {0x3fc8456c702227b8, 0x4000fe6312e0f3c8},
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, m := range Models() {
+			g, err := m.newGenerator()
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			got := [2]uint64{math.Float64bits(g.corr), math.Float64bits(g.overShift)}
+			if got != want[m.Name] {
+				t.Errorf("GOMAXPROCS=%d %s: corr/overShift bits %016x/%016x, want %016x/%016x",
+					procs, m.Name, got[0], got[1], want[m.Name][0], want[m.Name][1])
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestGenerateSetsMatchesSequential checks the parallel set generation
+// against a sequential Generate per derived stream, job for job.
+func TestGenerateSetsMatchesSequential(t *testing.T) {
+	const seed = 99
+	sets, err := SDSC.GenerateSets(7, 300, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, got := range sets {
+		want, err := SDSC.Generate(300, rng.New(seed).Derive(hashName(SDSC.Name), uint64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != fmt.Sprintf("SDSC/set%02d", k) || got.Machine != want.Machine {
+			t.Fatalf("set %d: name %q machine %d", k, got.Name, got.Machine)
+		}
+		for i := range want.Jobs {
+			if *got.Jobs[i] != *want.Jobs[i] {
+				t.Fatalf("set %d job %d: %v, want %v", k, i, got.Jobs[i], want.Jobs[i])
+			}
+		}
+	}
+}
+
+// TestCachedGeneratorFitsOnce races goroutines on the first use of an
+// unfitted model: exactly one of them may run the fit.
+func TestCachedGeneratorFitsOnce(t *testing.T) {
+	m := KTH
+	m.Name = "KTH-fit-once"
+	genCache.Delete(m)
+	before := fits.Load()
+	var wg sync.WaitGroup
+	gens := make([]*generator, 16)
+	for i := range gens {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := m.cachedGenerator()
+			if err != nil {
+				t.Error(err)
+			}
+			gens[i] = g
+		}(i)
+	}
+	wg.Wait()
+	if n := fits.Load() - before; n != 1 {
+		t.Fatalf("%d fits for one model, want 1", n)
+	}
+	for _, g := range gens {
+		if g != gens[0] {
+			t.Fatal("callers got different generators")
+		}
+	}
+}
+
+// BenchmarkNewGenerator times fitting one model from scratch, which is
+// what every process pays on the first use of each trace.
+func BenchmarkNewGenerator(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := KTH.newGenerator(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
