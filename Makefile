@@ -80,14 +80,16 @@ bench-plan:
 bench-plan-check:
 	$(GO) run ./cmd/benchplan -check BENCH_plan.json
 
-# Refresh the committed simulation-throughput snapshot: indexed-vs-linear
-# profile micro-benchmarks plus end-to-end sim.Run rates at 1k/10k jobs.
+# Refresh the committed simulation-throughput snapshot: Place
+# micro-benchmarks of the profile and its Linear oracle plus end-to-end
+# sim.Run rates at 1k/10k jobs.
 bench-sim:
 	$(GO) run ./cmd/benchsim -out BENCH_sim.json
 
-# Fail when an indexed-over-linear speedup ratio (1024+ steps) or the
-# 1k->10k throughput scaling regressed >10% against the committed
-# BENCH_sim.json. Ratios, not absolute ns, so the gate is machine-neutral.
+# Fail when the 1k->10k throughput scaling or a speculation ratio
+# regressed >10% against the committed BENCH_sim.json (the Place micro
+# rows are reported, not gated). Ratios, not absolute ns, so the gate is
+# machine-neutral.
 # CI runs this in the bench-smoke job.
 bench-sim-check:
 	$(GO) run ./cmd/benchsim -check BENCH_sim.json

@@ -1,21 +1,22 @@
 // Command benchsim measures the simulation-facing cost of the availability
-// profile — EarliestFit and Alloc micro-benchmarks on the indexed Profile
-// against the flat-array Linear baseline at several profile sizes, plus
-// end-to-end sim.Run throughput on generated KTH workloads — and writes the
-// measurements as a JSON snapshot (BENCH_sim.json) so CI can fail on
-// performance regressions.
+// profile — Place micro-benchmarks on Profile and on the straightforward
+// Linear implementation at several profile sizes, plus end-to-end sim.Run
+// throughput on generated KTH workloads — and writes the measurements as a
+// JSON snapshot (BENCH_sim.json) so CI can fail on performance
+// regressions.
 //
 //	benchsim -out BENCH_sim.json
 //	benchsim -check BENCH_sim.json   # compare a fresh run against a baseline
 //
 // Absolute nanoseconds vary with the machine, so -check gates on
-// machine-neutral ratios instead: the indexed-over-linear speedup of every
-// micro-benchmark pair (with a hard 2x floor at the largest profile size)
-// and the 10k-over-1k jobs/sec scaling of the end-to-end rows. A fresh
-// ratio may fall at most 10% below the baseline ratio. The -check run
-// pins GOMAXPROCS to the value the baseline was recorded at (erroring if
-// the environment demands a conflicting one), so the two measurements
-// see the same machine shape.
+// machine-neutral ratios instead: the 10k-over-1k jobs/sec scaling of the
+// end-to-end rows, which may fall at most 10% below the baseline ratio,
+// and the speculative rows' hit rate and throughput ratio. The Place
+// micro rows are reported for context and never gated: an end-to-end
+// number is what a profile change has to move. The -check run pins
+// GOMAXPROCS to the value the baseline was recorded at (erroring if the
+// environment demands a conflicting one), so the two measurements see the
+// same machine shape.
 package main
 
 import (
@@ -34,22 +35,13 @@ import (
 	"dynp/internal/workload"
 )
 
-// micro is one micro-benchmark row: the named operation on a profile with
-// Steps steps, for one of the two implementations.
+// micro is one micro-benchmark row: building a profile of Steps steps by
+// Place calls, for one of the two implementations.
 type micro struct {
-	Name    string `json:"name"` // "earliestfit" or "alloc"
-	Impl    string `json:"impl"` // "indexed" or "linear"
+	Name    string `json:"name"` // "place"
+	Impl    string `json:"impl"` // "profile" or "linear"
 	Steps   int    `json:"steps"`
 	NsPerOp int64  `json:"ns_per_op"`
-}
-
-// speedup is a derived row: how many times faster the indexed profile runs
-// the operation than the linear baseline at the same size. This is what
-// -check gates on.
-type speedup struct {
-	Name  string  `json:"name"`
-	Steps int     `json:"steps"`
-	Ratio float64 `json:"ratio"` // linear ns / indexed ns
 }
 
 // simRow is one end-to-end row: a full sim.Run of the dynP advanced
@@ -82,33 +74,17 @@ type snapshot struct {
 	Capacity   int       `json:"capacity"`
 	Note       string    `json:"note"`
 	Micro      []micro   `json:"micro"`
-	Speedups   []speedup `json:"speedups"`
 	Sim        []simRow  `json:"sim"`
 	Spec       []specRow `json:"spec,omitempty"`
 }
 
 const (
-	// capacity of the synthetic machine the micro-benchmarks run on. Large
-	// enough that reservation widths can vary widely without freeing the
-	// profile for the probe width below.
+	// capacity of the synthetic machine the micro-benchmarks run on, large
+	// enough that reservation widths can vary widely.
 	capacity = 1024
-	// probeWidth is the width EarliestFit searches for: every step the
-	// builders produce stays below it, so the search must traverse the
-	// whole busy region before finding the free tail.
-	probeWidth = 1000
-	// maxRegression is how far a speedup or scaling ratio may fall below
-	// its baseline before -check fails the build.
+	// maxRegression is how far a scaling or speculation ratio may fall
+	// below its baseline before -check fails the build.
 	maxRegression = 0.10
-	// floorSteps/floorRatio: at the largest micro-benchmark size the
-	// indexed profile must beat the linear baseline by at least this
-	// factor regardless of the baseline file (the PR's acceptance bar).
-	floorSteps = 4096
-	floorRatio = 2.0
-	// gateSteps: speedup rows below this size are reported but not gated.
-	// The 256-step rows run in tens of microseconds and swing ±20% between
-	// runs of this container, and small profiles are explicitly not where
-	// the index claims to win — gating them would only make CI flaky.
-	gateSteps = 1024
 	// simShrink compresses the KTH interarrival times so the machine is
 	// contended and queues (and thus profiles) grow.
 	simShrink = 0.8
@@ -124,7 +100,7 @@ const (
 	specRatioFloor = 1.25
 )
 
-var microSizes = []int{256, 1024, 4096}
+var microSizes = []int{64, 256, 1024}
 var simJobs = []int{1000, 10000}
 
 func main() {
@@ -160,10 +136,11 @@ func main() {
 
 // allocPlan returns the deterministic reservation sequence that builds a
 // profile with steps steps: contiguous [slot*16, slot*16+16) intervals
-// visited in scattered order (so boundary splits land mid-array, the
-// linear implementation's worst case) with varying widths. The finished
-// profile is one long busy plateau — every step below probeWidth, no two
-// adjacent steps equal — followed by a single fully-free tail step.
+// visited in scattered order (so boundary splits land mid-array) with
+// varying widths. Every slot is still fully free when it is visited, so
+// Place starts each reservation at its requested time. The finished
+// profile is one long busy plateau — no two adjacent steps equal —
+// followed by a single fully-free tail step.
 type reservation struct {
 	start int64
 	width int
@@ -181,7 +158,7 @@ func allocPlan(steps int) []reservation {
 		slot = (slot + stride) % n
 		plan[i] = reservation{
 			start: int64(slot * 16),
-			width: 100 + (slot*37)%800, // free stays in [124, 924], never >= probeWidth
+			width: 100 + (slot*37)%800, // free stays in [124, 924]
 		}
 	}
 	return plan
@@ -194,19 +171,17 @@ func gcd(a, b int) int {
 	return a
 }
 
-// buildIndexed replays the reservation plan into a fresh indexed profile.
-func buildIndexed(p *profile.Profile, plan []reservation) {
-	p.Reset(capacity, 0)
-	for _, r := range plan {
-		p.Alloc(r.start, r.width, 16)
-	}
+// placer is the slice of the profile API the Place rows exercise.
+type placer interface {
+	Reset(capacity int, start int64)
+	Place(earliest int64, width int, duration int64) int64
 }
 
-// buildLinear replays the reservation plan into a fresh linear profile.
-func buildLinear(p *profile.Linear, plan []reservation) {
+// build replays the reservation plan into p, reset to a fresh machine.
+func build(p placer, plan []reservation) {
 	p.Reset(capacity, 0)
 	for _, r := range plan {
-		p.Alloc(r.start, r.width, 16)
+		p.Place(r.start, r.width, 16)
 	}
 }
 
@@ -238,56 +213,29 @@ func measure() snapshot {
 	snap := snapshot{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Capacity:   capacity,
-		Note: "pre-index baseline (flat-array Profile wired into the " +
-			"engine): sim/dynp 120170 jobs/s at 1k jobs and 26364 jobs/s " +
-			"at 10k jobs (KTH, shrink 0.8, GOMAXPROCS=1, same container); " +
-			"the linear micro rows below are the live flat-array baseline",
+		Note: "history (KTH, shrink 0.8, GOMAXPROCS=1): the first flat " +
+			"array ran sim/dynp at 120170 jobs/s (1k jobs) and 26364 " +
+			"jobs/s (10k jobs); the chunk index that replaced it ran 26754 " +
+			"jobs/s at 10k jobs and has been removed again in favour of " +
+			"the single-pass flat Profile measured here; the linear micro " +
+			"rows are the straightforward two-pass baseline",
 	}
 
+	// Place: each op rebuilds the whole profile from its own storage, so
+	// the row measures the full fit-and-reserve path (steps-1 calls)
+	// including mid-array boundary insertion.
 	for _, steps := range microSizes {
 		plan := allocPlan(steps)
-
-		// EarliestFit: the profile is prepared outside the timer (the query
-		// does not mutate) and every op searches past the whole busy region.
-		idx := profile.New(capacity, 0)
-		buildIndexed(idx, plan)
-		lin := profile.NewLinear(capacity, 0)
-		buildLinear(lin, plan)
-		ef := func(p interface {
-			EarliestFit(int64, int, int64) int64
-		}) func(b *testing.B) {
+		row := func(p placer) func(b *testing.B) {
 			return func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.EarliestFit(0, probeWidth, 64)
+					build(p, plan)
 				}
 			}
 		}
 		snap.Micro = append(snap.Micro,
-			microRow("earliestfit", "indexed", steps, ef(idx)),
-			microRow("earliestfit", "linear", steps, ef(lin)))
-
-		// Alloc: each op rebuilds the whole profile from its own storage, so
-		// the row measures the full split-and-subtract path (steps/2 calls)
-		// including mid-array boundary insertion.
-		snap.Micro = append(snap.Micro,
-			microRow("alloc", "indexed", steps, func(b *testing.B) {
-				p := profile.New(capacity, 0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buildIndexed(p, plan)
-				}
-			}),
-			microRow("alloc", "linear", steps, func(b *testing.B) {
-				p := profile.NewLinear(capacity, 0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buildLinear(p, plan)
-				}
-			}))
-	}
-	snap.Speedups = speedups(snap.Micro)
-	for _, s := range snap.Speedups {
-		fmt.Fprintf(os.Stderr, "%-12s %5d steps  speedup %.2fx\n", s.Name, s.Steps, s.Ratio)
+			microRow("place", "profile", steps, row(profile.New(capacity, 0))),
+			microRow("place", "linear", steps, row(profile.NewLinear(capacity, 0))))
 	}
 
 	for _, jobs := range simJobs {
@@ -342,26 +290,6 @@ func measure() snapshot {
 	return snap
 }
 
-// speedups pairs the micro rows by (name, steps) and derives the
-// linear-over-indexed ratios.
-func speedups(rows []micro) []speedup {
-	ns := make(map[string]int64, len(rows))
-	for _, m := range rows {
-		ns[fmt.Sprintf("%s/%s/%d", m.Name, m.Impl, m.Steps)] = m.NsPerOp
-	}
-	var out []speedup
-	for _, name := range []string{"earliestfit", "alloc"} {
-		for _, steps := range microSizes {
-			idx := ns[fmt.Sprintf("%s/indexed/%d", name, steps)]
-			lin := ns[fmt.Sprintf("%s/linear/%d", name, steps)]
-			if idx > 0 && lin > 0 {
-				out = append(out, speedup{Name: name, Steps: steps, Ratio: float64(lin) / float64(idx)})
-			}
-		}
-	}
-	return out
-}
-
 // scaling returns the large-over-small end-to-end throughput ratio: how
 // much of the 1k-job rate survives at 10k jobs. A profile that degrades
 // super-linearly with schedule size drags this down.
@@ -377,39 +305,12 @@ func scaling(rows []simRow) (float64, bool) {
 	return large / small, true
 }
 
-// compare gates a fresh run against the baseline: every speedup ratio
-// at gateSteps or larger must hold to within maxRegression of its baseline
-// (and meet the absolute floor at floorSteps), and the end-to-end
-// throughput scaling must not collapse. Smaller rows print for context but
-// never fail the build.
+// compare gates a fresh run against the baseline: the end-to-end
+// throughput scaling must not collapse, and the speculative rows must hold
+// (compareSpec). The Place micro rows, printed while measuring, never fail
+// the build.
 func compare(base, fresh snapshot) int {
-	baseline := make(map[string]float64, len(base.Speedups))
-	for _, s := range base.Speedups {
-		baseline[fmt.Sprintf("%s/%d", s.Name, s.Steps)] = s.Ratio
-	}
 	bad := 0
-	for _, s := range fresh.Speedups {
-		key := fmt.Sprintf("%s/%d", s.Name, s.Steps)
-		if s.Steps < gateSteps {
-			fmt.Fprintf(os.Stderr, "benchsim: %-18s speedup %.2fx (not gated below %d steps)\n", key, s.Ratio, gateSteps)
-			continue
-		}
-		limit := 0.0
-		if b, ok := baseline[key]; ok {
-			limit = b * (1 - maxRegression)
-		} else {
-			fmt.Fprintf(os.Stderr, "benchsim: %s: no baseline row, floor only\n", key)
-		}
-		if s.Steps == floorSteps && limit < floorRatio {
-			limit = floorRatio
-		}
-		status := "ok"
-		if s.Ratio < limit {
-			status = "REGRESSION"
-			bad++
-		}
-		fmt.Fprintf(os.Stderr, "benchsim: %-18s speedup %.2fx (limit %.2fx): %s\n", key, s.Ratio, limit, status)
-	}
 	if fs, ok := scaling(fresh.Sim); ok {
 		limit := 0.0
 		if bs, bok := scaling(base.Sim); bok {

@@ -60,11 +60,11 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 	}
 }
 
-// FuzzProfileVsReference drives the indexed Profile, the flat-array
-// Linear implementation, and the per-second reference model through the
-// same operation sequence and requires identical EarliestFit results,
-// identical FreeAt values, and a step-for-step identical step function
-// between the indexed and linear representations — plus CloneInto/Reset
+// FuzzProfileVsReference drives Profile, the straightforward Linear
+// implementation, and the per-second reference model through the same
+// operation sequence and requires identical EarliestFit results, identical
+// FreeAt values, and a step-for-step identical step function between
+// Profile and Linear — plus CloneInto/Reset
 // equivalence with Clone/New along the way. The fuzz input is decoded as
 // (op, width, duration, earliest) nibbles.
 func FuzzProfileVsReference(f *testing.F) {
@@ -78,10 +78,6 @@ func FuzzProfileVsReference(f *testing.F) {
 		// cheap: reservations live in [start, start+horizon/2), scans may
 		// run to the horizon.
 		const horizon = 512
-		// Shrink the chunk split threshold so even these small profiles
-		// exercise multi-chunk structures, lazy deltas and chunk splits.
-		defer func(old int) { chunkMax = old }(chunkMax)
-		chunkMax = 8
 		p := New(capacity, start)
 		lin := NewLinear(capacity, start)
 		ref := newRefModel(capacity, start, horizon)
@@ -129,17 +125,16 @@ func FuzzProfileVsReference(f *testing.F) {
 					t.Fatalf("op %d: linear FreeAt(%d) = %d, oracle %d", i, earliest, lgot, want)
 				}
 			}
-			// The indexed and linear representations must agree step for
-			// step — same boundaries, same free counts, redundant steps
+			// Profile and Linear must agree step for step — same boundaries, same free counts, redundant steps
 			// included — and every boundary must match the oracle.
 			times, free := p.Steps()
 			ltimes, lfree := lin.Steps()
 			if len(times) != len(ltimes) {
-				t.Fatalf("op %d: indexed has %d steps, linear %d", i, len(times), len(ltimes))
+				t.Fatalf("op %d: profile has %d steps, linear %d", i, len(times), len(ltimes))
 			}
 			for k, tm := range times {
 				if tm != ltimes[k] || free[k] != lfree[k] {
-					t.Fatalf("op %d: step %d indexed (%d,%d), linear (%d,%d)",
+					t.Fatalf("op %d: step %d profile (%d,%d), linear (%d,%d)",
 						i, k, tm, free[k], ltimes[k], lfree[k])
 				}
 				if tm < start+horizon && free[k] != ref.freeAt(tm) {

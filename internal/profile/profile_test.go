@@ -2,14 +2,15 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dynp/internal/rng"
 )
 
-// checkInv fails the test when the indexed representation violates its
-// own invariants (aggregates vs recomputed-from-steps, ordering, bounds).
+// checkInv fails the test when the representation violates its own
+// invariants (parallel slice lengths, ordering, bounds).
 func checkInv(t *testing.T, p *Profile) {
 	t.Helper()
 	if err := p.CheckInvariants(); err != nil {
@@ -402,29 +403,38 @@ func TestLinearFreeAtPanicsPreStart(t *testing.T) {
 	p.FreeAt(99)
 }
 
-// TestPropertyIndexedMatchesLinear interleaves Place, Alloc, CloneInto and
-// Reset on the indexed profile and the flat-array Linear implementation
-// and requires the two step functions to stay identical step for step —
-// same boundaries, same free counts, redundant steps included — with the
-// indexed invariants holding after every operation. The chunk threshold is
-// shrunk so the sequences cross many chunk splits and lazy deltas.
-func TestPropertyIndexedMatchesLinear(t *testing.T) {
-	defer func(old int) { chunkMax = old }(chunkMax)
-	chunkMax = 8
-
+// TestPropertyProfileMatchesLinear interleaves Place, Alloc, CloneInto and
+// Reset on Profile and the straightforward Linear implementation and
+// requires the two step functions to stay identical step for step — same
+// boundaries, same free counts, redundant steps included — with the
+// invariants holding after every operation. Besides random placements the
+// generator aims reservations at existing boundaries (touching), between
+// two existing boundaries (zero-gap) and past the last step, and the test
+// asserts that every combination of Place's boundary cases occurred: the
+// start and the end boundary each either existed already or was opened.
+func TestPropertyProfileMatchesLinear(t *testing.T) {
 	sameSteps := func(p *Profile, l *Linear) error {
 		pt, pf := p.Steps()
 		lt, lf := l.Steps()
 		if len(pt) != len(lt) {
-			return fmt.Errorf("indexed has %d steps, linear %d", len(pt), len(lt))
+			return fmt.Errorf("profile has %d steps, linear %d", len(pt), len(lt))
 		}
 		for k := range pt {
 			if pt[k] != lt[k] || pf[k] != lf[k] {
-				return fmt.Errorf("step %d: indexed (%d,%d), linear (%d,%d)",
+				return fmt.Errorf("step %d: profile (%d,%d), linear (%d,%d)",
 					k, pt[k], pf[k], lt[k], lf[k])
 			}
 		}
 		return nil
+	}
+
+	// seen[startExisted][endExisted] records the boundary cases Place hit.
+	var seen [2][2]bool
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
 	}
 
 	if err := quick.Check(func(seed uint64) bool {
@@ -439,7 +449,25 @@ func TestPropertyIndexedMatchesLinear(t *testing.T) {
 			width := 1 + r.Intn(capacity)
 			dur := int64(1 + r.Intn(40))
 			earliest := start + int64(r.Intn(200))
-			switch r.Intn(10) {
+			times, _ := l.Steps()
+			op := r.Intn(10)
+			switch op {
+			case 3: // touching: start the search on an existing boundary
+				earliest = times[r.Intn(len(times))]
+			case 4: // zero-gap: span exactly from one boundary to a later one
+				if a := r.Intn(len(times)); a+1 < len(times) {
+					b := a + 1 + r.Intn(len(times)-a-1)
+					earliest, dur = times[a], times[b]-times[a]
+				}
+			case 5: // end on an existing boundary, start inside a step
+				if b := r.Intn(len(times)); times[b] > start {
+					dur = 1 + int64(r.Intn(int(times[b]-start)))
+					earliest = times[b] - dur
+				}
+			case 6: // past the last step
+				earliest = times[len(times)-1] + int64(r.Intn(20))
+			}
+			switch op {
 			case 0: // Alloc at a feasible hole found by EarliestFit
 				at := p.EarliestFit(earliest, width, dur)
 				if lat := l.EarliestFit(earliest, width, dur); lat != at {
@@ -465,6 +493,7 @@ func TestPropertyIndexedMatchesLinear(t *testing.T) {
 					t.Logf("seed %d op %d: Place %d vs linear %d", seed, i, got, want)
 					return false
 				}
+				seen[b2i(slices.Contains(times, got))][b2i(slices.Contains(times, got+dur))] = true
 			}
 			if err := p.CheckInvariants(); err != nil {
 				t.Logf("seed %d op %d: %v", seed, i, err)
@@ -479,15 +508,20 @@ func TestPropertyIndexedMatchesLinear(t *testing.T) {
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	for s, row := range seen {
+		for e, ok := range row {
+			if !ok {
+				t.Errorf("no Place with start boundary existing=%v, end boundary existing=%v", s == 1, e == 1)
+			}
+		}
+	}
 }
 
-// TestCheckInvariantsDetectsCorruption corrupts the white-box aggregates
-// and expects CheckInvariants to notice — the guard that the property and
-// fuzz tests are actually asserting something.
+// TestCheckInvariantsDetectsCorruption corrupts the representation and
+// expects CheckInvariants to notice — the guard that the property and fuzz
+// tests are actually asserting something.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	build := func() *Profile {
-		defer func(old int) { chunkMax = old }(chunkMax)
-		chunkMax = 8
 		r := rng.New(7)
 		p := New(16, 0)
 		for i := 0; i < 40; i++ {
@@ -499,41 +533,18 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("freshly built profile violates invariants: %v", err)
 	}
 	for name, corrupt := range map[string]func(p *Profile){
-		"min":      func(p *Profile) { p.chunks[len(p.chunks)/2].min-- },
-		"max":      func(p *Profile) { p.chunks[len(p.chunks)/2].max++ },
-		"add":      func(p *Profile) { p.chunks[len(p.chunks)/2].add -= 100 },
-		"ordering": func(p *Profile) { p.chunks[0].steps[0].time = 1 << 40 },
-		"capacity": func(p *Profile) { p.chunks[0].steps[0].free = 99 },
+		"unsorted":      func(p *Profile) { p.times[1], p.times[2] = p.times[2], p.times[1] },
+		"duplicate":     func(p *Profile) { p.times[2] = p.times[1] },
+		"short free":    func(p *Profile) { p.free = p.free[:len(p.free)-1] },
+		"short times":   func(p *Profile) { p.times = p.times[:len(p.times)-1] },
+		"empty":         func(p *Profile) { p.times, p.free = p.times[:0], p.free[:0] },
+		"over capacity": func(p *Profile) { p.free[len(p.free)/2] = 17 },
+		"negative":      func(p *Profile) { p.free[len(p.free)/2] = -1 },
 	} {
 		p := build()
 		corrupt(p)
 		if err := p.CheckInvariants(); err == nil {
 			t.Errorf("%s corruption not detected", name)
 		}
-	}
-}
-
-// TestChunkSplitKeepsSequence drives a profile far past one chunk and
-// checks the flattened sequence stays sorted and the structure actually
-// split — the cheap-split path is exercised, not bypassed.
-func TestChunkSplitKeepsSequence(t *testing.T) {
-	r := rng.New(11)
-	p := New(128, 0)
-	l := NewLinear(128, 0)
-	for i := 0; i < 400; i++ {
-		w := 1 + r.Intn(64)
-		d := int64(1 + r.Intn(5000))
-		if got, want := p.Place(0, w, d), l.Place(0, w, d); got != want {
-			t.Fatalf("op %d: Place %d vs linear %d", i, got, want)
-		}
-	}
-	checkInv(t, p)
-	if len(p.chunks) < 4 {
-		t.Fatalf("400 placements produced only %d chunks; splits not exercised", len(p.chunks))
-	}
-	pt, pf := p.Steps()
-	lt, lf := l.Steps()
-	if fmt.Sprint(pt, pf) != fmt.Sprint(lt, lf) {
-		t.Fatal("indexed and linear step functions diverged")
 	}
 }

@@ -1,15 +1,24 @@
-// Linear is the pre-index flat-array availability profile, kept verbatim
-// as a differential oracle and benchmarking baseline for the indexed
-// Profile. Every operation has the same contract as Profile's — including
-// the pre-start panics — but the costs are the original ones: EarliestFit
-// scans the step array linearly and splitAt memmoves the whole tail, so
-// EarliestFit and Alloc are O(S) in the number of steps. Production code
-// must use Profile; Linear exists for FuzzProfileVsReference, the
-// step-for-step property tests, and cmd/benchsim's before/after rows.
+// Linear is the original flat-array availability profile, kept verbatim
+// as a differential oracle and benchmarking baseline for Profile. Every
+// operation has the same contract as Profile's — including the pre-start
+// panics — and the same step sequence, but it is written the
+// straightforward way: EarliestFit and Alloc are separate passes over an
+// array of (time, free) pairs, and each boundary split memmoves the tail
+// on its own. Production code must use Profile; Linear exists for
+// FuzzProfileVsReference, the step-for-step property tests, and
+// cmd/benchsim's comparison rows.
 
 package profile
 
 import "fmt"
+
+// step is one piece of Linear's step function: free processors are
+// available from time (inclusive) until the time of the next step
+// (exclusive). The last step extends to infinity.
+type step struct {
+	time int64
+	free int
+}
 
 // Linear is a free-processor timeline backed by a flat step array. Create
 // one with NewLinear; the zero value is not usable.

@@ -74,12 +74,12 @@ func (e *EASY) Plan(now int64, capacity int, running []plan.Running, waiting []*
 	}
 
 	// The schedule contract wants a feasible start for every waiting
-	// job, so rejected jobs receive nominal conservative placements in a
-	// scratch profile after all real decisions are fixed. The engine
-	// only acts on entries starting now; these placements never bind.
-	rest := prof.Clone()
+	// job, so rejected jobs receive nominal conservative placements after
+	// all real decisions are fixed. The profile is not read again, so the
+	// placements go onto it directly. The engine only acts on entries
+	// starting now; these placements never bind.
 	for _, j := range rejected {
-		start := rest.Place(now, j.Width, j.Estimate)
+		start := prof.Place(now, j.Width, j.Estimate)
 		s.Entries = append(s.Entries, plan.Entry{Job: j, Start: start})
 	}
 	return s

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dynp/internal/job"
+	"dynp/internal/plan"
 	"dynp/internal/policy"
 )
 
@@ -117,5 +119,31 @@ func TestEASYEmptyQueuePlan(t *testing.T) {
 	s := e.Plan(10, 4, nil, nil)
 	if len(s.Entries) != 0 {
 		t.Fatal("empty queue produced entries")
+	}
+}
+
+func TestEASYPlanEntries(t *testing.T) {
+	// Machine 4 at t=3, one width-2 job running until t=100. The head
+	// (width 4) is reserved at 100, job 4 backfills now, and the rejected
+	// job 3 gets its nominal placement behind the head reservation and
+	// the backfilled job — in that entry order.
+	running := []plan.Running{{Job: j(1, 0, 2, 100, 100), Start: 0}}
+	waiting := []*job.Job{
+		j(2, 1, 4, 100, 100),
+		j(3, 2, 2, 200, 200),
+		j(4, 3, 2, 97, 97),
+	}
+	s := (&EASY{Base: policy.FCFS}).Plan(3, 4, running, waiting)
+	want := []struct {
+		id    job.ID
+		start int64
+	}{{2, 100}, {4, 3}, {3, 200}}
+	if len(s.Entries) != len(want) {
+		t.Fatalf("%d entries, want %d", len(s.Entries), len(want))
+	}
+	for k, w := range want {
+		if e := s.Entries[k]; e.Job.ID != w.id || e.Start != w.start {
+			t.Errorf("entry %d = job %d at %d, want job %d at %d", k, e.Job.ID, e.Start, w.id, w.start)
+		}
 	}
 }
